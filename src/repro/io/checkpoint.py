@@ -3,7 +3,9 @@
 Section III-C: "the intermediate calculation results are periodically
 saved to the disk for future reference."  Checkpoints are ``.npz``
 archives (compact, lossless float64) named by the observation count, so a
-directory of them *is* the convergence history of a run.
+directory of them *is* the convergence history of a run.  The serving
+layer keys its per-tenant checkpoints by snapshot version instead and
+stores its restart accounting in the archive's JSON extras.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 import os
 import pathlib
 import re
+import time
 from typing import Any
 
 import numpy as np
@@ -26,7 +29,9 @@ __all__ = [
     "CheckpointStore",
 ]
 
-_CKPT_RE = re.compile(r"^eigensystem-(\d+)\.npz$")
+#: ``ckpt-`` is the name serving checkpoints were written under before
+#: they moved into this store; it is still read so older data dirs recover.
+_CKPT_RE = re.compile(r"^(?:eigensystem|ckpt)-(\d+)\.npz$")
 
 
 def fsync_directory(directory: str | pathlib.Path) -> None:
@@ -102,9 +107,17 @@ def save_eigensystem(
 
 def load_eigensystem(path: str | pathlib.Path) -> Eigensystem:
     """Read an eigensystem written by :func:`save_eigensystem`."""
+    return load_eigensystem_extras(path)[0]
+
+
+def load_eigensystem_extras(
+    path: str | pathlib.Path,
+) -> tuple[Eigensystem, dict[str, Any]]:
+    """Like :func:`load_eigensystem`, plus the ``extras`` dict (or {})."""
+    extras: dict[str, Any] = {}
     with np.load(pathlib.Path(path)) as data:
         scal = data["scalars"]
-        return Eigensystem(
+        state = Eigensystem(
             mean=data["mean"],
             basis=data["basis"],
             eigenvalues=data["eigenvalues"],
@@ -115,15 +128,6 @@ def load_eigensystem(path: str | pathlib.Path) -> Eigensystem:
             n_seen=int(scal[4]),
             n_since_sync=int(scal[5]),
         )
-
-
-def load_eigensystem_extras(
-    path: str | pathlib.Path,
-) -> tuple[Eigensystem, dict[str, Any]]:
-    """Like :func:`load_eigensystem`, plus the ``extras`` dict (or {})."""
-    state = load_eigensystem(path)
-    extras: dict[str, Any] = {}
-    with np.load(pathlib.Path(path)) as data:
         if "extras_json" in data.files:
             loaded = json.loads(str(data["extras_json"]))
             if isinstance(loaded, dict):
@@ -132,7 +136,12 @@ def load_eigensystem_extras(
 
 
 class CheckpointStore:
-    """A directory of periodic eigensystem snapshots.
+    """A directory of eigensystem snapshots, newest = highest key.
+
+    Snapshots are keyed by observation count unless :meth:`save` is
+    given another monotone key (the serving layer uses the snapshot
+    version).  Every save is atomic; :meth:`load_latest` skips an
+    unreadable newest snapshot for the next-newest.
 
     Parameters
     ----------
@@ -175,9 +184,15 @@ class CheckpointStore:
         # restart doesn't re-write (or double-count) a persisted state.
         snaps = self.list()
         self._last_saved_at = snaps[-1][0] if snaps else -1
+        self.last_saved_unix: float | None = None
+        if snaps:
+            try:
+                self.last_saved_unix = snaps[-1][1].stat().st_mtime
+            except OSError:
+                pass
 
-    def _path_for(self, n_seen: int) -> pathlib.Path:
-        return self.directory / f"eigensystem-{n_seen:012d}.npz"
+    def _path_for(self, key: int) -> pathlib.Path:
+        return self.directory / f"eigensystem-{key:012d}.npz"
 
     def maybe_save(self, state: Eigensystem) -> bool:
         """Snapshot if a full period elapsed since the last one."""
@@ -187,13 +202,30 @@ class CheckpointStore:
         self.save(state)
         return True
 
-    def save(self, state: Eigensystem) -> pathlib.Path:
-        """Snapshot unconditionally."""
-        path = self._path_for(state.n_seen)
-        save_eigensystem(path, state, fsync=self.fsync)
+    def save(
+        self,
+        state: Eigensystem,
+        extras: dict[str, Any] | None = None,
+        *,
+        key: int | None = None,
+    ) -> pathlib.Path:
+        """Snapshot unconditionally, under ``key`` (default: ``n_seen``).
+
+        ``extras`` is stored with the arrays as JSON (see
+        :func:`save_eigensystem`).
+        """
+        path = self._path_for(state.n_seen if key is None else int(key))
+        save_eigensystem(path, state, extras=extras, fsync=self.fsync)
         self._last_saved_at = state.n_seen
+        self.last_saved_unix = time.time()
         self._prune()
         return path
+
+    def age_s(self, now: float | None = None) -> float | None:
+        """Seconds since the newest snapshot was written (None if none)."""
+        if self.last_saved_unix is None:
+            return None
+        return max(0.0, (now or time.time()) - self.last_saved_unix)
 
     def _prune(self) -> None:
         if self.keep is None:
@@ -222,7 +254,7 @@ class CheckpointStore:
         return removed
 
     def list(self) -> list[tuple[int, pathlib.Path]]:
-        """All snapshots as ``(n_seen, path)``, ascending."""
+        """All snapshots as ``(key, path)``, ascending."""
         out = []
         for path in self.directory.iterdir():
             m = _CKPT_RE.match(path.name)
@@ -231,7 +263,14 @@ class CheckpointStore:
         return sorted(out)
 
     def load_latest(self) -> Eigensystem | None:
-        """The most recent *readable* snapshot (``None`` if none).
+        """The most recent *readable* snapshot (``None`` if none)."""
+        loaded = self.load_latest_extras()
+        return None if loaded is None else loaded[0]
+
+    def load_latest_extras(
+        self,
+    ) -> tuple[Eigensystem, dict[str, Any]] | None:
+        """The most recent *readable* snapshot and its extras.
 
         Snapshots written by current code are atomic, but a store may
         hold a truncated archive from an older writer or a torn copy;
@@ -239,7 +278,7 @@ class CheckpointStore:
         """
         for _, path in reversed(self.list()):
             try:
-                return load_eigensystem(path)
+                return load_eigensystem_extras(path)
             except (OSError, EOFError, ValueError, KeyError):
                 continue
         return None

@@ -1,7 +1,7 @@
 """The durability plane: WAL, crash-consistent checkpoints, recovery.
 
 The serving layer's zero-loss accounting contract (``rows_accepted ==
-rows_applied + queued + pending``) held only while the process lived:
+rows_applied + queued``) held only while the process lived:
 every tenant model was pure memory, so one ``kill -9`` discarded months
 of accumulated eigenbasis.  This module makes an *acknowledged* ingest
 durable:
@@ -14,13 +14,14 @@ durable:
   guarantee: ``none`` (buffered, lost on crash), ``async`` (written to
   the OS before ack — survives process death, not power loss),
   ``fsync`` (fsynced before ack — survives power loss).
-* :class:`TenantCheckpointStore` / :class:`TenantCheckpointer` — ride
-  the :class:`~.snapshots.EigenbasisCache` publish listeners and
-  persist eigenbasis + accounting (``rows_applied``,
-  ``snapshot_version``, last applied WAL ``seq``) through the extended
-  :mod:`repro.io.checkpoint` writer (atomic replace + dir fsync +
-  ``keep_last`` GC).  A checkpoint *covers* every WAL record up to its
-  ``wal_seq``, so covered segments are truncated.
+* :class:`TenantCheckpointer` — rides the
+  :class:`~.snapshots.EigenbasisCache` publish listeners and persists
+  eigenbasis + accounting (``rows_applied``, ``snapshot_version``, last
+  applied WAL ``seq``) into a per-tenant
+  :class:`~repro.io.checkpoint.CheckpointStore` keyed by snapshot
+  version (atomic replace + dir fsync + keep-last GC).  A checkpoint
+  *covers* every WAL record up to its ``wal_seq``, so covered segments
+  are truncated.
 * :class:`RecoveryManager` — on startup, loads the latest readable
   checkpoint per tenant, replays the WAL tail through the tenant
   model, truncates at the first torn/bad-CRC record instead of
@@ -35,11 +36,13 @@ holds: one WAL + checkpoint store per tenant under ``data_dir``::
     data_dir/
       tenants/<name>/spec.json          # TenantSpec, for re-creation
       tenants/<name>/wal/seg-<seq>.wal  # segmented write-ahead log
-      tenants/<name>/ckpt/ckpt-<version>.npz
+      tenants/<name>/ckpt/eigensystem-<version>.npz
+                                        # (ckpt-<version>.npz in older dirs)
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -53,16 +56,11 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from ..io.checkpoint import (
-    fsync_directory,
-    load_eigensystem_extras,
-    save_eigensystem,
-)
+from ..io.checkpoint import CheckpointStore, fsync_directory
 
 __all__ = [
     "DurabilityPlane",
     "RecoveryManager",
-    "TenantCheckpointStore",
     "TenantCheckpointer",
     "WalError",
     "WalRecord",
@@ -87,7 +85,6 @@ MAX_RECORD_BYTES = 1 << 28  # 256 MiB
 DURABILITY_MODES = ("none", "async", "fsync")
 
 _SEG_RE = re.compile(r"^seg-(\d{12})\.wal$")
-_CKPT_RE = re.compile(r"^ckpt-(\d{12})\.npz$")
 
 
 class WalError(ValueError):
@@ -447,87 +444,6 @@ class WriteAheadLog:
         }
 
 
-class TenantCheckpointStore:
-    """Crash-consistent per-tenant checkpoints, keyed by snapshot version.
-
-    Each checkpoint is one ``.npz`` written through the extended
-    :func:`repro.io.checkpoint.save_eigensystem` (atomic replace +
-    file/dir fsync) carrying the eigenbasis plus the accounting extras
-    a restart needs: ``rows_applied``, ``blocks_applied``,
-    ``snapshot_version``, ``wal_seq``, ``outlier_t``.
-    """
-
-    def __init__(
-        self,
-        directory: str | pathlib.Path,
-        *,
-        keep_last: int = 3,
-        fsync: bool = True,
-    ) -> None:
-        if keep_last < 1:
-            raise ValueError("keep_last must be >= 1")
-        self.directory = pathlib.Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.keep_last = int(keep_last)
-        self.fsync = bool(fsync)
-        self.n_saved = 0
-        self.last_saved_unix: float | None = self._seed_last_saved()
-
-    def _seed_last_saved(self) -> float | None:
-        ckpts = self.list()
-        if not ckpts:
-            return None
-        try:
-            return ckpts[-1][1].stat().st_mtime
-        except OSError:
-            return None
-
-    def list(self) -> list[tuple[int, pathlib.Path]]:
-        """All checkpoints as ``(snapshot_version, path)``, ascending."""
-        out = []
-        for path in self.directory.iterdir():
-            m = _CKPT_RE.match(path.name)
-            if m:
-                out.append((int(m.group(1)), path))
-        return sorted(out)
-
-    def save(self, state, extras: dict[str, Any]) -> pathlib.Path:
-        version = int(extras["snapshot_version"])
-        path = self.directory / f"ckpt-{version:012d}.npz"
-        save_eigensystem(path, state, extras=extras, fsync=self.fsync)
-        self.n_saved += 1
-        self.last_saved_unix = time.time()
-        self._gc()
-        return path
-
-    def _gc(self) -> None:
-        ckpts = self.list()
-        for _v, path in ckpts[: max(len(ckpts) - self.keep_last, 0)]:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
-    def load_latest(self) -> tuple[Any, dict[str, Any]] | None:
-        """Newest *readable* checkpoint as ``(state, extras)``.
-
-        A checkpoint that fails to parse (torn by an older writer, bad
-        disk) falls back to the next-newest instead of failing the
-        restart — the WAL tail will cover the difference.
-        """
-        for _version, path in reversed(self.list()):
-            try:
-                return load_eigensystem_extras(path)
-            except (OSError, EOFError, ValueError, KeyError):
-                continue
-        return None
-
-    def age_s(self, now: float | None = None) -> float | None:
-        if self.last_saved_unix is None:
-            return None
-        return max(0.0, (now or time.time()) - self.last_saved_unix)
-
-
 class TenantCheckpointer(threading.Thread):
     """Background persister riding the cache's publish listeners.
 
@@ -593,7 +509,7 @@ class TenantCheckpointer(threading.Thread):
                 "wal_seq": int(snap.wal_seq),
                 "outlier_t": float(snap.outlier_t),
                 "published_unix": float(snap.published_unix),
-            })
+            }, key=snap.version)
         except OSError:
             self.n_errors += 1
             return
@@ -675,6 +591,9 @@ class RecoveryManager:
         self.duration_s: float | None = None
         self.error: str | None = None
         self._progress: dict[str, _TenantRecovery] = {}
+        #: Tenant dirs whose ``spec.json`` did not load, with the error:
+        #: those tenants are not recovered, so they are reported here.
+        self.spec_errors: dict[str, str] = {}
         self._thread: threading.Thread | None = None
         #: Test hook: per-record sleep while replaying (lets tests
         #: observe the 503-with-progress window deterministically).
@@ -691,6 +610,7 @@ class RecoveryManager:
             "done": self.done.is_set(),
             "duration_s": self.duration_s,
             "error": self.error,
+            "spec_errors": dict(self.spec_errors),
             "tenants": {
                 name: rec.snapshot()
                 for name, rec in sorted(self._progress.items())
@@ -713,7 +633,10 @@ class RecoveryManager:
     def _run(self) -> None:
         self.started_at = time.monotonic()
         try:
-            for spec in self.plane.load_specs():
+            specs, self.spec_errors = self.plane.load_specs()
+            if self.spec_errors:
+                self.plane.count("spec_errors", len(self.spec_errors))
+            for spec in specs:
                 self._recover_tenant(spec)
         except Exception as exc:  # recovery must never wedge startup
             self.error = repr(exc)
@@ -740,7 +663,7 @@ class RecoveryManager:
         wal = self.plane.wal_for(spec.name)
 
         rec.phase = "checkpoint"
-        loaded = self.plane.checkpoints_for(spec.name).load_latest()
+        loaded = self.plane.checkpoints_for(spec.name).load_latest_extras()
         after_seq = -1
         ckpt_version = 0
         if loaded is not None:
@@ -823,7 +746,7 @@ class DurabilityPlane:
         self.telemetry = telemetry
         self._lock = threading.Lock()
         self._wals: dict[str, WriteAheadLog] = {}
-        self._stores: dict[str, TenantCheckpointStore] = {}
+        self._stores: dict[str, CheckpointStore] = {}
         self.checkpointer = TenantCheckpointer(
             self,
             every_publishes=checkpoint_every_publishes,
@@ -868,13 +791,13 @@ class DurabilityPlane:
                 self._wals[tenant] = wal
             return wal
 
-    def checkpoints_for(self, tenant: str) -> TenantCheckpointStore:
+    def checkpoints_for(self, tenant: str) -> CheckpointStore:
         with self._lock:
             store = self._stores.get(tenant)
             if store is None:
-                store = TenantCheckpointStore(
+                store = CheckpointStore(
                     self.tenant_dir(tenant) / "ckpt",
-                    keep_last=self.keep_checkpoints,
+                    keep=self.keep_checkpoints,
                     fsync=(self.durability != "none"),
                 )
                 self._stores[tenant] = store
@@ -893,23 +816,36 @@ class DurabilityPlane:
         if self.durability == "fsync":
             fsync_directory(d)
 
-    def load_specs(self) -> list[Any]:
-        """Every persisted TenantSpec, sorted by name; bad files skipped."""
+    def load_specs(self) -> tuple[list[Any], dict[str, str]]:
+        """Every persisted TenantSpec, sorted by name, and the spec files
+        that failed to load as ``{tenant dir name: error}``.
+
+        Fields the spec no longer defines are dropped: specs written
+        before the parallel-chunk mode was retired carry its fields, and
+        such a tenant comes back as a single-estimator tenant (its
+        checkpoint is a plain eigensystem either way).
+        """
         from .tenancy import TenantSpec
 
-        specs = []
+        known = {f.name for f in dataclasses.fields(TenantSpec)}
+        specs: list[Any] = []
+        errors: dict[str, str] = {}
         if not self.tenants_dir.is_dir():
-            return specs
+            return specs, errors
         for d in sorted(self.tenants_dir.iterdir()):
             path = d / "spec.json"
             if not path.is_file():
                 continue
             try:
                 doc = json.loads(path.read_text())
-                specs.append(TenantSpec(**doc))
-            except (OSError, ValueError, TypeError):
-                continue
-        return specs
+                if not isinstance(doc, dict):
+                    raise ValueError("spec.json is not a JSON object")
+                specs.append(TenantSpec(
+                    **{k: v for k, v in doc.items() if k in known}
+                ))
+            except (OSError, ValueError, TypeError) as exc:
+                errors[d.name] = repr(exc)
+        return specs, errors
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -25,6 +25,7 @@ hysteresis.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -88,6 +89,7 @@ class EngineLane(threading.Thread):
 
     def run(self) -> None:  # noqa: C901 - one linear drain loop
         pool = self.pool
+        idle_since: float | None = None
         try:
             while not self._halt.is_set():
                 self._check_killed()
@@ -95,9 +97,19 @@ class EngineLane(threading.Thread):
                 for tenant in pool.tenants_for(self.lane_id):
                     self._check_killed()
                     worked |= self._drain_one(tenant)
-                if not worked:
-                    pool.work_event.wait(pool.idle_wait_s)
-                    pool.work_event.clear()
+                if worked:
+                    idle_since = None
+                    continue
+                # A lane with no work for a full idle wait publishes what
+                # its tenants applied since their last snapshot, so the
+                # tail of a burst does not wait for more traffic.
+                now = time.monotonic()
+                if idle_since is None:
+                    idle_since = now
+                elif now - idle_since >= pool.idle_wait_s:
+                    self._publish_idle()
+                pool.work_event.wait(pool.idle_wait_s)
+                pool.work_event.clear()
         except _LaneKilled:
             self.alive = False
             pool.note_lane_death(self.lane_id, reason="killed")
@@ -138,6 +150,13 @@ class EngineLane(threading.Thread):
         if tenant.model.should_publish():
             self._publish(tenant)
         return True
+
+    def _publish_idle(self) -> None:
+        for tenant in self.pool.tenants_for(self.lane_id):
+            self._check_killed()
+            if (not tenant.needs_reseed
+                    and tenant.model.has_unpublished_blocks()):
+                self._publish(tenant)
 
     def _publish(self, tenant: TenantState) -> None:
         snap = tenant.model.publish(self.pool.cache)
@@ -326,7 +345,7 @@ class EnginePool:
         inflight = 0
         dispatched = 0
         for name, st in tenants.items():
-            depth = st.queue.depth_rows + st.model.pending_rows
+            depth = st.queue.depth_rows
             inflight += depth
             dispatched += st.queue.rows_popped
             if live:
@@ -369,21 +388,18 @@ class EnginePool:
 
     def queue_depth_rows(self) -> int:
         return sum(
-            st.queue.depth_rows + st.model.pending_rows
-            for st in self.get_tenants().values()
+            st.queue.depth_rows for st in self.get_tenants().values()
         )
 
     def drain(self, timeout_s: float = 10.0) -> bool:
         """Block until every queue is empty (tests/shutdown); True if so."""
-        import time as _time
-
-        deadline = _time.monotonic() + timeout_s
+        deadline = time.monotonic() + timeout_s
         self.work_event.set()
-        while _time.monotonic() < deadline:
+        while time.monotonic() < deadline:
             if self.queue_depth_rows() == 0:
                 return True
             self.work_event.set()
-            _time.sleep(0.01)
+            time.sleep(0.01)
         return self.queue_depth_rows() == 0
 
 

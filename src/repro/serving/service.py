@@ -237,8 +237,6 @@ class PCAService:
             self.elastic.stop()
         if self.sampler is not None:
             self.sampler.stop()
-        for st in self.get_tenants().values():
-            st.model.flush()
         self.pool.stop()
         if self.durability is not None:
             # Final publish per tenant so the shutdown checkpoint covers
@@ -309,7 +307,7 @@ class PCAService:
         then the queue bound (429, full).  Admitted rows are counted
         into ``rows_accepted`` *before* enqueue, so the zero-loss
         invariant is checkable: ``rows_accepted == rows_applied +
-        queued + model-pending`` at any quiet point.
+        queued`` at any quiet point.
         """
         if self._recovering():
             # Replay order must not interleave with fresh traffic.
@@ -492,6 +490,7 @@ class PCAService:
             body["recovery_duration_s"] = (
                 self.durability.recovery.duration_s
             )
+            body["spec_errors"] = dict(self.durability.recovery.spec_errors)
         return (200 if ok else 503), body
 
     def live(self) -> tuple[int, dict[str, Any]]:

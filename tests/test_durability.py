@@ -33,7 +33,6 @@ from repro.serving import (
     RecoveryManager,
     ServingClient,
     ServingConfig,
-    TenantCheckpointStore,
     TenantSpec,
     WalError,
     WriteAheadLog,
@@ -282,41 +281,47 @@ class TestWalTornWriteFuzz:
 
 
 class TestTenantCheckpointStore:
+    """The per-tenant store: an io.CheckpointStore keyed by snapshot
+    version, with the restart accounting as extras."""
+
     def test_save_load_extras_round_trip(self, tmp_path):
-        store = TenantCheckpointStore(tmp_path)
+        store = CheckpointStore(tmp_path)
         state = _state()
         extras = {
             "tenant": "t0", "snapshot_version": 5, "rows_applied": 100,
             "blocks_applied": 9, "wal_seq": 42, "outlier_t": 9.0,
             "published_unix": 1.0,
         }
-        store.save(state, extras)
-        loaded = store.load_latest()
+        store.save(state, extras, key=5)
+        loaded = store.load_latest_extras()
         assert loaded is not None
         got_state, got_extras = loaded
         assert got_extras["wal_seq"] == 42
         assert got_extras["snapshot_version"] == 5
         np.testing.assert_allclose(got_state.basis, state.basis)
+        assert store.age_s() >= 0.0
 
     def test_keep_last_gc(self, tmp_path):
-        store = TenantCheckpointStore(tmp_path, keep_last=2)
+        store = CheckpointStore(tmp_path, keep=2)
         for v in range(6):
-            store.save(_state(), {"snapshot_version": v})
+            store.save(_state(), {"snapshot_version": v}, key=v)
         assert [v for v, _p in store.list()] == [4, 5]
 
     def test_corrupt_newest_falls_back(self, tmp_path):
-        store = TenantCheckpointStore(tmp_path, keep_last=3)
-        store.save(_state(seed=1), {"snapshot_version": 1, "wal_seq": 7})
-        store.save(_state(seed=2), {"snapshot_version": 2, "wal_seq": 9})
+        store = CheckpointStore(tmp_path, keep=3)
+        store.save(_state(seed=1), {"snapshot_version": 1, "wal_seq": 7},
+                   key=1)
+        store.save(_state(seed=2), {"snapshot_version": 2, "wal_seq": 9},
+                   key=2)
         newest = store.list()[-1][1]
         newest.write_bytes(b"not an npz")
-        loaded = store.load_latest()
+        loaded = store.load_latest_extras()
         assert loaded is not None
         assert loaded[1]["wal_seq"] == 7
 
     def test_empty_store(self, tmp_path):
-        store = TenantCheckpointStore(tmp_path)
-        assert store.load_latest() is None
+        store = CheckpointStore(tmp_path)
+        assert store.load_latest_extras() is None
         assert store.age_s() is None
 
 
@@ -647,6 +652,72 @@ class TestServiceDurability:
             assert svc2.tenant("t0").model.rows_applied == total
         finally:
             svc2.stop()
+
+    def test_recovers_data_dir_in_older_layout(self, tmp_path):
+        """A data dir as written before the checkpoint store and the spec
+        were slimmed: ``spec.json`` carries fields of the retired
+        parallel-chunk mode, checkpoints are named ``ckpt-<version>.npz``,
+        and a WAL tail runs past the checkpoint.  The tenant comes back
+        with its accounting and the tail replays; a spec that still
+        fails to load is reported, not skipped in silence."""
+        root = tmp_path / "data" / "tenants"
+        blocks = _blocks(8, rows=16, dim=8)
+        for name, n_engines in (("t0", 1), ("chunked", 3)):
+            spec_doc = {
+                "name": name, "n_components": 3, "alpha": 0.999,
+                "delta": 0.5, "init_size": 10, "estimator_kwargs": {},
+                "n_engines": n_engines, "runtime": "synchronous",
+                "publish_every_blocks": 1,
+                "max_rate_hz": None, "burst_s": 1.0,
+                "shed_open_for_s": 0.25, "queue_capacity_rows": 50000,
+                "max_block_rows": 256, "health_check_every": 512,
+                "outlier_t": 9.0,
+            }
+            (root / name).mkdir(parents=True)
+            (root / name / "spec.json").write_text(json.dumps(spec_doc))
+            wal = WriteAheadLog(root / name / "wal", durability="fsync")
+            for b in blocks:
+                wal.append(b)
+            wal.close()
+            est = RobustIncrementalPCA(3, init_size=10)
+            for b in blocks[:5]:
+                est.update_block(b)
+            (root / name / "ckpt").mkdir()
+            save_eigensystem(
+                root / name / "ckpt" / "ckpt-000000000005.npz",
+                est.public_state(),
+                extras={
+                    "tenant": name, "snapshot_version": 5,
+                    "rows_applied": 80, "blocks_applied": 5, "wal_seq": 4,
+                    "outlier_t": 9.0, "published_unix": 1.0,
+                },
+            )
+        (root / "broken").mkdir()
+        (root / "broken" / "spec.json").write_text(
+            json.dumps({"name": "broken", "n_components": 0})
+        )
+
+        svc = PCAService(_cfg(tmp_path))
+        svc.start()
+        assert svc.durability.recovery.wait(10)
+        try:
+            prog = svc.durability.recovery.progress()
+            for name in ("t0", "chunked"):
+                model = svc.tenant(name).model
+                assert model.rows_applied == 8 * 16
+                assert model.last_wal_seq == 7
+                assert prog["tenants"][name]["checkpoint_version"] == 5
+                assert prog["tenants"][name]["wal_records_replayed"] == 3
+                assert svc.cache.peek(name).version >= 8
+            assert list(prog["spec_errors"]) == ["broken"]
+            assert not svc.tenant_exists("broken")
+            code, body = svc.ready()
+            assert code == 200
+            assert list(body["spec_errors"]) == ["broken"]
+            text = svc.telemetry.metrics.to_prometheus()
+            assert "repro_wal_spec_errors_total 1" in text
+        finally:
+            svc.stop()
 
     def test_ready_gates_on_recovery_with_progress(self, tmp_path):
         # Seed a data dir with a tenant and a WAL tail.

@@ -225,10 +225,6 @@ class TestTenantSpec:
         with pytest.raises(ValueError):
             TenantSpec("t", queue_capacity_rows=0)
 
-    def test_unknown_runtime_rejected(self):
-        with pytest.raises(ValueError):
-            TenantSpec("t", runtime="quantum")
-
 
 class TestIngestQueue:
     def test_push_pop_coalesces_blocks(self):
@@ -334,6 +330,30 @@ class TestEnginePool:
             assert _wait(lambda: cache.get("a") is not None)
             assert pool.drain(10.0)
             assert t.model.rows_applied == 64
+        finally:
+            pool.stop()
+
+    def test_idle_lane_publishes_the_tail_of_a_burst(self):
+        """Three blocks against a cadence of four: the last two are
+        applied after the first snapshot and would wait for more
+        traffic, but the idle lane publishes them."""
+        t = TenantState(_spec("a", publish_every_blocks=4))
+        cache, pool = self._pool({"a": t}, n_lanes=1, idle_wait_s=0.05)
+        pool.start()
+        try:
+            for i in range(3):
+                t.queue.push(_rows(16, seed=i))
+                pool.work_event.set()
+                assert _wait(lambda: t.model.rows_applied == 16 * (i + 1))
+            assert _wait(
+                lambda: cache.peek("a") is not None
+                and cache.peek("a").rows_applied == 48,
+                timeout_s=5.0,
+            )
+            # Nothing new since: the idle lane does not publish again.
+            version = cache.peek("a").version
+            time.sleep(0.3)
+            assert cache.peek("a").version == version
         finally:
             pool.stop()
 
