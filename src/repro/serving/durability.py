@@ -678,11 +678,13 @@ class RecoveryManager:
                 blocks_applied=int(extras.get("blocks_applied", 0)),
                 wal_seq=after_seq,
             )
+            st.pin_width(state.dim)
 
         rec.phase = "replaying"
         rec.wal_records_total = wal.records_on_disk(after_seq)
         last_seq = after_seq
         for record in wal.replay(after_seq):
+            st.pin_width(record.block.shape[1])
             model.apply_block(record.block, wal_seq=record.seq)
             last_seq = record.seq
             rec.wal_records_replayed += 1

@@ -14,12 +14,12 @@ eigenbasis snapshots on the tenant's cadence.  The pool exposes:
   per-lane queue depth lands on the standard ``repro_queue_depth``
   gauges; and
 * the chaos hooks (:meth:`EngineLane.kill`) the serving contract test
-  uses to prove 503-then-recover.
+  uses to prove evict-reseed-rejoin.
 
-The :class:`ElasticController` closes the loop: it respawns dead lanes
-(the rejoin/reseed path) and scales the pool between ``min_lanes`` and
-``max_lanes`` off the sampled queue-depth gauges with consecutive-tick
-hysteresis.
+The pool replaces a dead lane itself (:meth:`EnginePool.note_lane_death`);
+the :class:`ElasticController` only scales the pool between
+``min_lanes`` and ``max_lanes`` off the sampled queue-depth gauges with
+consecutive-tick hysteresis.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ from .snapshots import EigenbasisCache
 from .tenancy import TenantRouter, TenantState
 
 __all__ = ["ElasticController", "EngineLane", "EnginePool"]
+
+#: Least time between two lane respawns: a block that fails on every
+#: apply kills each replacement in turn, and must not spin the pool.
+_RESPAWN_INTERVAL_S = 0.25
 
 
 class _LaneKilled(Exception):
@@ -201,6 +205,7 @@ class EnginePool:
         self._lanes: dict[int, EngineLane] = {}
         self._next_lane_id = 0
         self._started = False
+        self._last_respawn = float("-inf")
 
     # -- events -----------------------------------------------------------
 
@@ -264,7 +269,8 @@ class EnginePool:
     # -- death & recovery --------------------------------------------------
 
     def note_lane_death(self, lane_id: int, *, reason: str) -> None:
-        """A lane died uncleanly: evict it, mark its tenants dirty."""
+        """A lane died uncleanly: evict it, mark its tenants dirty, and
+        replace it (called on the dying lane's thread)."""
         with self._lock:
             lane = self._lanes.get(lane_id)
             if lane is None:
@@ -284,6 +290,11 @@ class EnginePool:
                 st.needs_reseed = True
         self.emit("lane_dead", lane=lane_id, reason=reason)
         self.work_event.set()
+        # Rate-limit the rejoin; ``stop()`` halts the wait and the pool.
+        lane._halt.wait(
+            self._last_respawn + _RESPAWN_INTERVAL_S - time.monotonic()
+        )
+        self.respawn_dead()
 
     def respawn_dead(self) -> int:
         """Replace dead lanes up to ``desired_lanes`` (the rejoin path)."""
@@ -299,6 +310,8 @@ class EnginePool:
                 self.stats.n_rejoins += 1
                 spawned += 1
                 self.emit("lane_respawned", lane=lane.lane_id)
+            if spawned:
+                self._last_respawn = time.monotonic()
         if spawned:
             self.work_event.set()
         return spawned
@@ -413,11 +426,9 @@ class _Membership:
 
 
 class ElasticController(threading.Thread):
-    """Scales the pool off sampled backpressure, and respawns the dead.
+    """Scales the pool off sampled backpressure.
 
-    Each tick it (1) replaces dead lanes immediately — recovery never
-    waits for hysteresis — and (2) reads the per-lane
-    ``repro_queue_depth`` gauges the
+    Each tick reads the per-lane ``repro_queue_depth`` gauges the
     :class:`~repro.streams.telemetry.BackpressureSampler` maintains
     (falling back to a direct pool probe when no telemetry is wired).
     Total depth above ``high_watermark_rows`` for ``hysteresis_ticks``
@@ -457,7 +468,6 @@ class ElasticController(threading.Thread):
         self.n_ticks = 0
         self.n_scale_ups = 0
         self.n_scale_downs = 0
-        self.n_respawns = 0
 
     def stop(self) -> None:
         self._halt.set()
@@ -484,7 +494,6 @@ class ElasticController(threading.Thread):
 
     def tick(self) -> None:
         self.n_ticks += 1
-        self.n_respawns += self.pool.respawn_dead()
         depth = self._sampled_depth()
         live = len(self.pool.live_lane_ids())
         if depth >= self.high_watermark_rows:
@@ -522,7 +531,7 @@ class ElasticController(threading.Thread):
             "ticks": self.n_ticks,
             "scale_ups": self.n_scale_ups,
             "scale_downs": self.n_scale_downs,
-            "respawns": self.n_respawns,
+            "respawns": self.pool.stats.n_rejoins,
             "live_lanes": len(self.pool.live_lane_ids()),
             "desired_lanes": self.pool.desired_lanes,
             "min_lanes": self.min_lanes,

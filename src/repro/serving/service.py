@@ -303,8 +303,10 @@ class PCAService:
     def ingest(self, tenant: str, rows) -> tuple[int, dict[str, Any]]:
         """Admit a block of rows into ``tenant``'s lane.
 
-        Admission order: valve first (rate shed → 429 + retry-after),
-        then the queue bound (429, full).  Admitted rows are counted
+        Admission order: shape first (422 for malformed rows, or for a
+        width other than the one the tenant's first block pinned), then
+        the valve (rate shed → 429 + retry-after), then the queue bound
+        (429, full).  Admitted rows are counted
         into ``rows_accepted`` *before* enqueue, so the zero-loss
         invariant is checkable: ``rows_accepted == rows_applied +
         queued`` at any quiet point.
@@ -328,6 +330,8 @@ class PCAService:
                 x = x[None, :]
             if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] == 0:
                 raise ValueError(f"expected (k, d) rows, got {x.shape}")
+            if not st.pin_width(x.shape[1]):
+                raise ValueError(f"width {x.shape[1]} != {st.row_width}")
         except (TypeError, ValueError) as exc:
             return 422, {"error": f"bad rows: {exc}", "tenant": tenant}
         n = int(x.shape[0])

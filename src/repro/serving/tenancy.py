@@ -391,11 +391,22 @@ class TenantState:
         #: the next lane to pick the tenant up reseeds the model from the
         #: latest published snapshot before applying anything.
         self.needs_reseed = False
+        #: Pinned by the first block to reach admission (or by recovery):
+        #: another width would fail in the lane, after ack and WAL append.
+        self.row_width: int | None = None
         self._lock = threading.Lock()
 
     @property
     def name(self) -> str:
         return self.spec.name
+
+    def pin_width(self, d: int) -> bool:
+        """Pin the row width to ``d`` if unpinned; whether ``d`` fits."""
+        if self.row_width is None:
+            with self._lock:
+                if self.row_width is None:
+                    self.row_width = int(d)
+        return self.row_width == d
 
     def note_accepted(self, n: int) -> None:
         with self._lock:
@@ -425,6 +436,7 @@ class TenantState:
             "valve_trips": self.valve.n_trips,
             "queue_depth_rows": self.queue.depth_rows,
             "queue_capacity_rows": self.queue.capacity_rows,
+            "row_width": self.row_width,
             **self.model.stats(),
         }
 

@@ -21,9 +21,9 @@ ReconnectingChannel` to the coordinator:
 
 * tuples travel as ``to_wire`` dicts inside coalesced ``"tuples"``
   frames — numpy blocks cross as raw buffers, never pickled;
-* the receive side decodes with ``from_wire(..., allow_pickle=False)``
-  and the ``register_wire_type`` allowlist: socket bytes are untrusted
-  (see ``docs/robustness.md``);
+* the receive side decodes with ``from_wire`` and the
+  ``register_wire_type`` allowlist: socket bytes are untrusted, and no
+  frame on either side carries a pickle (see ``docs/robustness.md``);
 * outbound traffic on both sides goes through an **unbounded deque
   drained by a dedicated sender thread**, so neither end ever blocks on
   a socket write while the peer is itself mid-write (the classic TCP
@@ -52,9 +52,10 @@ counters: the coordinator finishes when its sources are done, its local
 operators are closed, and every live host reports *quiesced* with
 matching sent/received tuple counts in both directions (nothing in
 flight on the sockets).  Only then does it send ``finish``; hosts reply
-``done`` with their operators' final state (folded back into the
-coordinator-side graph, exactly like the process runtime) plus their
-telemetry shard, merged under an ``h<id>`` process label.
+``done`` with each operator's data-only final state (folded back into
+the coordinator-side graph by the same
+:func:`~repro.streams.procengine.apply_final_state` as the process
+runtime) plus their telemetry shard, merged under an ``h<id>`` label.
 
 A host that dies is detected by the coordinator.  With
 ``tolerate_host_loss=True`` (the chaos scenarios and the CLI kill runs)
@@ -74,7 +75,6 @@ for a grace period and records the residue in
 
 from __future__ import annotations
 
-import ipaddress
 import os
 import signal
 import socket
@@ -82,7 +82,6 @@ import threading
 import time
 import traceback
 import uuid
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable
@@ -90,19 +89,12 @@ from typing import Any, Iterable
 from .engine import RunStats, SynchronousEngine, ThreadedEngine, _SourceRunner
 from .graph import Graph
 from .operators import Operator, Sink, Source
-from .procengine import _sanitize, _strip_payload
+from .procengine import _sanitize, apply_final_state, final_state
 from .shm import safe_mp_context
 from .split import Split
 from .supervision import OperatorFailure, Supervisor
 from .telemetry import Telemetry, operator_metric_samples
-from .tuples import (
-    StreamTuple,
-    _decode_value,
-    _encode_value,
-    from_wire,
-    reseed_sequence,
-    to_wire,
-)
+from .tuples import StreamTuple, from_wire, reseed_sequence, to_wire
 from .wireproto import (
     FrameError,
     ReconnectingChannel,
@@ -118,24 +110,6 @@ _COORD = "c"
 
 #: Tuples per coalesced ``"tuples"`` frame.
 _BATCH_MAX = 64
-
-def _is_loopback_bind(host: str) -> bool:
-    """Whether ``host`` binds only the loopback interface.
-
-    ``""``/``"0.0.0.0"``/``"::"`` bind every interface; hostnames other
-    than ``localhost`` are conservatively treated as non-loopback rather
-    than resolved (resolution is racy and the answer gates a trust
-    decision).
-    """
-    if host == "localhost":
-        return True
-    if not host:
-        return False
-    try:
-        return ipaddress.ip_address(host).is_loopback
-    except ValueError:
-        return False
-
 
 #: Default redial budget for host channels (≈ 4 s worst case), matching
 #: the reconnecting network sources' shape.
@@ -158,8 +132,6 @@ class _ChannelSource(Source):
     Every inbound tuple is wrapped in a control envelope carrying its
     demux output index: engines drive sources through ``submit(tup, 0)``
     only, so routing happens one hop downstream in :class:`_Demux`.
-    Decoding is strict — ``allow_pickle=False`` — because these bytes
-    arrived over TCP.
     """
 
     def __init__(
@@ -184,7 +156,7 @@ class _ChannelSource(Source):
             t = msg.get("t")
             if t == "tuples":
                 for dst, port, wire in msg["items"]:
-                    tup = from_wire(wire, allow_pickle=False)
+                    tup = from_wire(wire)
                     out = self._portmap[(dst, int(port))]
                     self._counters["received"] += 1
                     yield StreamTuple.control(out=out, tup=tup)
@@ -464,13 +436,7 @@ def _host_loop(spec: _HostSpec, channel: ReconnectingChannel) -> None:
         out_cv.notify_all()
     sender.join(timeout=5.0)
 
-    payloads = {
-        op.name: {
-            k: _encode_value(v)
-            for k, v in _strip_payload(dict(op.__dict__)).items()
-        }
-        for op in spec.ops
-    }
+    payloads = {op.name: final_state(op) for op in spec.ops}
     shard = (
         [
             [name, kind, dict(labels), float(value)]
@@ -587,6 +553,13 @@ class ClusterEngine:
         As in the other engines.  Host-side operator failures surface as
         :class:`OperatorFailure`; host metrics shards merge back under
         ``process="h<id>"`` labels.
+
+    After :meth:`run`, ``cluster_stats`` sums the hosts' channel
+    counters, so its directions are the *hosts'*: ``frames_in`` /
+    ``bytes_in`` are coordinator → host traffic (the row blocks, sync
+    merges, ``finish``) and ``frames_out`` / ``bytes_out`` are
+    host → coordinator traffic (diagnostics, sync states, status
+    heartbeats and the ``done`` frame).
     """
 
     def __init__(
@@ -614,22 +587,6 @@ class ClusterEngine:
         self.graph = graph
         self.host_runtime = host_runtime
         self.bind_host = bind_host
-        #: Pickled ``done`` payload values are only trusted on a
-        #: loopback bind: the hello is authenticated by nothing stronger
-        #: than the run_id, which travels in cleartext on the same
-        #: connection — on a shared network an on-path observer could
-        #: replay it and deliver a pickle.
-        self._pickle_ok = _is_loopback_bind(bind_host)
-        if not self._pickle_ok:
-            warnings.warn(
-                f"ClusterEngine bound to non-loopback {bind_host!r}: "
-                f"pickled host-state payloads will be refused "
-                f"(cleartext run_id is not an authentication boundary); "
-                f"operator state that lacks a registered wire form will "
-                f"fail to fold back",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         self.port = port
         self.tolerate_host_loss = tolerate_host_loss
         self.flap_hosts = dict(flap_hosts or {})
@@ -894,7 +851,7 @@ class ClusterEngine:
         t = msg.get("t")
         if t == "tuples":
             for dst, port, wire in msg["items"]:
-                tup = from_wire(wire, allow_pickle=False)
+                tup = from_wire(wire)
                 link.received_from += 1
                 loc = self._loc_of[dst]
                 if loc == _COORD:
@@ -1256,19 +1213,7 @@ class ClusterEngine:
     # -- shutdown bookkeeping ---------------------------------------------
 
     def _apply_done(self, lost: int) -> None:
-        """Fold host results back into coordinator-side objects.
-
-        ``done`` payload values may carry pickled attributes; decoding
-        them with ``allow_pickle=True`` is a deliberate trust decision —
-        the frame arrived on a connection whose hello echoed this run's
-        random ``run_id``, which only processes we spawned were given.
-        That holds **only on a loopback bind**: the run_id travels in
-        cleartext, so on a shared network it authenticates nothing.  A
-        non-loopback engine therefore decodes with
-        ``allow_pickle=False`` (set in ``__init__``, with a warning) and
-        a pickled attribute raises ``WireDecodeError`` instead of
-        executing.  Data-plane frames stay pickle-free regardless.
-        """
+        """Fold host results back into coordinator-side objects."""
         totals = {
             "hosts": len(self._links),
             "host_deaths": self._host_deaths,
@@ -1296,13 +1241,8 @@ class ClusterEngine:
                 continue
             for name, payload in msg["ops"].items():
                 op = self._ops_by_name.get(name)
-                if op is None:
-                    continue
-                state = {
-                    k: _decode_value(v, allow_pickle=self._pickle_ok)
-                    for k, v in payload.items()
-                }
-                op.__dict__.update(_strip_payload(state))
+                if op is not None:
+                    apply_final_state(op, payload)
             if self.telemetry is not None and msg.get("metrics"):
                 self.telemetry.merge_shard(
                     f"h{hid}",

@@ -29,6 +29,9 @@ Transport (see :mod:`repro.streams.shm`)
 * Everything else (scalar/control tuples, punctuation, engine control)
   crosses on bounded ``multiprocessing`` queues as explicit wire dicts
   (:func:`repro.streams.tuples.to_wire`), with blocking backpressure.
+  Each worker has one command queue in and, per incarnation, one queue
+  of its own back to the coordinator: no worker shares a writer lock
+  or a byte stream into the coordinator with another.
 
 Ordering is FIFO *per transport*.  A producer's queue traffic can
 overtake its in-flight ring blocks (and vice versa) — harmless for the
@@ -44,11 +47,11 @@ The two-phase drain protocol matches the threaded engine: a shared
 in-flight counter covers every cross-process message; the coordinator
 raises ``finish`` only when sources are done, every PE (thread or
 process) has quiesced, and nothing is in flight.  Workers then drain
-their inboxes, ship final operator state (plus their per-process
-metrics shard and transport counters) back to the coordinator, and
-exit; the coordinator folds worker state into the graph's own operator
-objects so ``RunStats`` and application-level result collection are
-runtime-agnostic.
+their inboxes, ship each operator's data-only :func:`final_state` (plus
+their metrics shard and transport counters) to the coordinator, and
+exit; the coordinator folds it into the graph's own operators with
+:func:`apply_final_state`, so ``RunStats`` and application-level result
+collection are runtime-agnostic.
 
 A worker that dies mid-run is detected by the coordinator.  If the
 attached :class:`~repro.streams.supervision.Supervisor` gives any of the
@@ -63,11 +66,21 @@ worker had already received.  Loss is bounded to tuples that were being
 dispatched at the instant of death plus operator state since the last
 checkpoint.  Without a restart policy a worker death aborts the run
 with :class:`~repro.streams.supervision.OperatorFailure`.
+
+A SIGKILL can land in the middle of a queue operation.  On the way out
+the dead worker can tear only its own queue to the coordinator, which
+then reads EOF and drops it (frames written before the death are still
+delivered).  On the way in, a worker waits for input outside its
+command queue's reader lock; a lock still held at death therefore means
+it died reading a frame, and the respawn gets a fresh command queue
+(what the old one held is counted crash loss) unless another worker
+also writes to it.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import multiprocessing.connection as mp_connection
 import queue
 import threading
 import time
@@ -79,6 +92,7 @@ from typing import Any, Iterable, Mapping
 
 import numpy as np
 
+from ..core.eigensystem import Eigensystem
 from .batcher import BLOCK_SCHEMA
 from .engine import RunStats, _PERunner, _SourceRunner
 from .fusion import FusionPlan, ProcessingElement
@@ -140,10 +154,48 @@ def _sanitize(op: Operator) -> Operator:
     return clone
 
 
-def _strip_payload(state: dict[str, Any]) -> dict[str, Any]:
-    for attr in _UNPICKLABLE_ATTRS:
-        state.pop(attr, None)
-    return state
+def _scalars(obj: Any) -> dict[str, int | float]:
+    return {k: v for k, v in vars(obj).items() if isinstance(v, (int, float))}
+
+
+def _set_scalars(obj: Any, values: Mapping[str, Any]) -> None:
+    # Overwrite only attributes already holding a scalar, only with a
+    # scalar: in the cluster runtime the values come off a socket.
+    own, num = vars(obj), (int, float)
+    for k, v in values.items():
+        if isinstance(v, num) and isinstance(own.get(k), num):
+            own[k] = v
+
+
+def final_state(op: Operator) -> dict[str, Any]:
+    """The data-only state a remote operator ships home at end of run:
+    its scalar counters (what ``RunStats``, telemetry and
+    ``diagnostics()`` read) and, for an operator driving an
+    ``estimator``, the estimator's counters plus its full ``p+q``
+    eigensystem — or, still in warm-up, its buffered rows."""
+    msg: dict[str, Any] = {"counters": _scalars(op)}
+    est = getattr(op, "estimator", None)
+    if est is not None and hasattr(est, "adopt_state"):
+        msg["estimator"] = _scalars(est)
+        if est.is_initialized:
+            msg["state"] = dict(vars(est.state))
+        else:
+            msg["warmup"] = est._buffer.view()
+    return msg
+
+
+def apply_final_state(op: Operator, msg: Mapping[str, Any]) -> None:
+    """Fold a :func:`final_state` message into the coordinator's ``op``."""
+    _set_scalars(op, msg.get("counters", {}))
+    est = getattr(op, "estimator", None)
+    if est is None or "estimator" not in msg:
+        return
+    if "state" in msg:
+        est.adopt_state(Eigensystem(**msg["state"]))
+    else:
+        est._buffer.clear()
+        est._buffer.extend(np.asarray(msg["warmup"], dtype=np.float64))
+    _set_scalars(est, msg["estimator"])
 
 
 def _unlink_segment(name: str) -> None:
@@ -236,8 +288,10 @@ class _TransportSender:
     # -- queue path -----------------------------------------------------
 
     def _qput(self, dst_loc: Any, msg: dict) -> None:
-        q = self.queues[dst_loc]
         while True:
+            # Looked up on every retry: a respawn may replace the
+            # destination's queue while this put waits on the old one.
+            q = self.queues[dst_loc]
             try:
                 q.put(msg, timeout=0.05)
                 return
@@ -390,6 +444,7 @@ class _WorkerSpec:
     #: op name -> out port -> [(dst_loc, dst_name, dst_port)]
     routes: dict[str, dict[int, list[tuple[Any, str, int]]]]
     cmd_q: Any
+    #: This worker's own queue to the coordinator (set per incarnation).
     main_q: Any
     peer_qs: dict[int, Any]
     inflight: Any
@@ -590,10 +645,12 @@ def _worker_loop(spec: _WorkerSpec) -> None:
             # After ring progress there is usually more ring traffic
             # right behind; poll the command queue without the blocking
             # timeout so the pipeline never stalls on an idle syscall.
-            if progressed:
-                msg = spec.cmd_q.get_nowait()
-            else:
-                msg = spec.cmd_q.get(timeout=0.002)
+            # The idle wait polls outside the queue's reader lock, so
+            # a SIGKILL that lands in it leaves the lock free; a held
+            # lock at death then means the victim died mid-read.
+            if not progressed:
+                spec.cmd_q._reader.poll(0.002)
+            msg = spec.cmd_q.get_nowait()
         except queue.Empty:
             msg = None
         if msg is not None:
@@ -622,9 +679,7 @@ def _worker_loop(spec: _WorkerSpec) -> None:
 
     # Ship final operator state, the metrics shard, supervision stats and
     # transport counters back to the coordinator.
-    payloads = {
-        op.name: _strip_payload(dict(op.__dict__)) for op in spec.ops
-    }
+    payloads = {op.name: final_state(op) for op in spec.ops}
     shard = (
         [
             (name, kind, dict(labels), float(value))
@@ -791,6 +846,16 @@ class ProcessEngine:
         for wid, pe in self._worker_pes.items():
             for op in pe.operators:
                 self._loc_of[op.name] = wid
+        #: Workers another worker sends to directly: their command queue
+        #: has writers outside the coordinator, so it is never replaced.
+        self._peer_fed: set[int] = {
+            self._loc_of[dst.name]
+            for wid, pe in self._worker_pes.items()
+            for op in pe.operators
+            for port in range(op.n_outputs)
+            for dst, _ in self.graph.successors(op, port)
+            if self._loc_of[dst.name] not in (_MAIN, wid)
+        }
 
         # Coordinator-side threading state (mirrors ThreadedEngine).
         self._inboxes: dict[int, queue.Queue] = {}
@@ -805,6 +870,13 @@ class ProcessEngine:
         self._procs: dict[int, Any] = {}
         self._specs: dict[int, _WorkerSpec] = {}
         self._cmd_qs: dict[int, Any] = {}
+        #: One queue per worker incarnation into the coordinator, each
+        #: with a single writer process, so a worker killed mid-put can
+        #: hold no lock and tear no frame that another worker needs.
+        #: The receiver drops a queue at EOF (its writer is gone).
+        self._up_qs: list[Any] = []
+        self._up_lock = threading.Lock()
+        self._retired_qs: list[Any] = []
         self._quiesced: set[int] = set()
         self._done: dict[int, dict] = {}
         self._worker_deaths = 0
@@ -977,7 +1049,7 @@ class ProcessEngine:
                 op.name: self._routes_for(op) for op in pe.operators
             },
             cmd_q=self._cmd_qs[wid],
-            main_q=self._main_q,
+            main_q=None,
             peer_qs={
                 w: q for w, q in self._cmd_qs.items() if w != wid
             },
@@ -996,6 +1068,8 @@ class ProcessEngine:
 
     def _start_worker(self, wid: int) -> None:
         spec = self._specs[wid]
+        up_q = self._ctx.Queue(maxsize=max(self.queue_size * 4, 1024))
+        spec.main_q = up_q
         proc = self._ctx.Process(
             target=_worker_main,
             args=(spec,),
@@ -1003,6 +1077,11 @@ class ProcessEngine:
             daemon=True,
         )
         proc.start()
+        # The worker now holds the only write end, so its death reads as
+        # EOF on the receiver, even in the middle of a torn frame.
+        up_q._writer.close()
+        with self._up_lock:
+            self._up_qs.append(up_q)
         self._procs[wid] = proc
 
     def _restartable(self, wid: int) -> bool:
@@ -1053,7 +1132,8 @@ class ProcessEngine:
                         stats.restarts.get(op.name, 0) + 1
                     )
             self._quiesced.discard(wid)
-            self._unpoison_cmd_queue(wid)
+            if self._unpoison_cmd_queue(wid) and wid not in self._peer_fed:
+                self._replace_cmd_queue(wid)
             spec = self._specs[wid]
             spec.resume = True
             self._start_worker(wid)
@@ -1069,32 +1149,47 @@ class ProcessEngine:
                     wid, dst_name, dst_port, StreamTuple.punctuation()
                 )
 
-    def _unpoison_cmd_queue(self, wid: int) -> None:
+    def _unpoison_cmd_queue(self, wid: int) -> bool:
         """Release the command queue's reader lock if the dead worker
-        took it to the grave.
+        took it to the grave; return whether it had to.
 
-        ``Queue.get(timeout=...)`` holds the queue's shared ``_rlock``
-        for the whole poll window, so a worker SIGKILLed while idle (the
-        common case — the 2 ms poll dominates its loop) dies holding the
-        lock.  The respawned worker then times out on every acquire and
-        reads nothing, producers spin on Full, and the run livelocks
-        until the graph timeout.  The dead worker was this queue's only
-        reader, so an unavailable lock here can only be the victim's
-        orphaned hold — force-release it.  (A kill landing inside
-        ``_recv_bytes`` can still tear the byte stream mid-frame; that
-        window is orders of magnitude narrower and surfaces as a decode
-        error → another respawn, not a hang.)
+        A worker SIGKILLed inside ``Queue.get_nowait`` dies holding the
+        queue's shared ``_rlock``.  The respawned worker would then read
+        nothing, producers spin on Full, and the run livelocks until the
+        graph timeout.  The dead worker was this queue's only reader, so
+        an unavailable lock here can only be the victim's orphaned hold
+        — force-release it.  The worker waits for input outside the
+        lock, so an orphaned hold means it died reading a frame, and
+        the byte stream may be torn mid-frame.
         """
         rlock = getattr(self._cmd_qs.get(wid), "_rlock", None)
         if rlock is None:  # pragma: no cover - exotic Queue implementation
-            return
+            return False
         if rlock.acquire(block=False):
             rlock.release()
-            return
+            return False
         try:
             rlock.release()
         except ValueError:  # pragma: no cover - lost the (benign) race
             pass
+        return True
+
+    def _replace_cmd_queue(self, wid: int) -> None:
+        """Give a worker that died mid-read a fresh command queue.
+
+        The old queue's byte stream may be torn mid-frame, which the
+        respawn would read as garbage.  What it still held is lost —
+        counted, like any crash loss, by the in-flight grace period in
+        :meth:`run`.  Only the coordinator writes to the queue (see
+        ``_peer_fed``), so swapping its one reference is enough.
+        """
+        old = self._cmd_qs[wid]
+        fresh = self._ctx.Queue(maxsize=self.queue_size)
+        self._cmd_qs[wid] = fresh
+        self._specs[wid].cmd_q = fresh
+        if self._sender is not None:
+            self._sender.queues[wid] = fresh
+        self._retired_qs.append(old)
 
     def _check_stall(self) -> None:
         """Recover from a wedged (alive but progress-free) worker.
@@ -1239,21 +1334,35 @@ class ProcessEngine:
             self._stop.set()
             self._stop_ev.set()
 
+    def _recv_up(self, timeout: float) -> bool:
+        """Handle at most one message from each worker queue that has
+        one; a queue at EOF (its worker died) is dropped."""
+        with self._up_lock:
+            by_reader = {q._reader: q for q in self._up_qs}
+        got = False
+        for reader in mp_connection.wait(list(by_reader), timeout):
+            q = by_reader[reader]
+            try:
+                msg = q.get_nowait()
+            except queue.Empty:
+                continue
+            except (EOFError, OSError):
+                # The writer is gone; a frame it tore dies with it.
+                with self._up_lock:
+                    self._up_qs.remove(q)
+                self._retired_qs.append(q)
+                continue
+            self._handle_main_msg(msg)
+            got = True
+        return got
+
     def _receiver_loop(self) -> None:
         try:
             while True:
                 progressed = self._drain_main_rings()
-                try:
-                    # Same no-stall poll as the worker loop: only block
-                    # on the queue when the rings had nothing.
-                    if progressed:
-                        msg = self._main_q.get_nowait()
-                    else:
-                        msg = self._main_q.get(timeout=0.005)
-                except queue.Empty:
-                    msg = None
-                if msg is not None:
-                    self._handle_main_msg(msg)
+                # Same no-stall poll as the worker loop: only block on
+                # the queues when the rings had nothing.
+                if self._recv_up(0.0 if progressed else 0.005):
                     progressed = True
                 if self._held:
                     self._release_held()
@@ -1288,7 +1397,6 @@ class ProcessEngine:
         self._stop_ev = ctx.Event()
         self._finish_ev = ctx.Event()
         self._inflight = ctx.Value("q", 0)
-        self._main_q = ctx.Queue(maxsize=max(self.queue_size * 4, 1024))
         self._cmd_qs = {
             wid: ctx.Queue(maxsize=self.queue_size)
             for wid in self._worker_pes
@@ -1463,7 +1571,7 @@ class ProcessEngine:
             for name, payload in msg["ops"].items():
                 op = self._ops_by_name.get(name)
                 if op is not None:
-                    op.__dict__.update(_strip_payload(dict(payload)))
+                    apply_final_state(op, payload)
             if self.telemetry is not None and msg.get("metrics"):
                 self.telemetry.merge_shard(f"w{wid}", msg["metrics"])
             sup = msg.get("sup")
@@ -1490,7 +1598,9 @@ class ProcessEngine:
             ring.close()
         for name in self._worker_ring_names:
             _unlink_segment(name)
-        for q in list(self._cmd_qs.values()) + [self._main_q]:
+        for q in (
+            list(self._cmd_qs.values()) + self._up_qs + self._retired_qs
+        ):
             try:
                 q.cancel_join_thread()
                 q.close()

@@ -7,6 +7,10 @@ idea: a :class:`StreamSchema` declares named, typed fields; a
 as data / control / punctuation.  Control tuples implement the
 synchronization messages of Section III-B; punctuation marks end-of-stream
 (used for orderly shutdown and final-state flushes).
+
+Tuples cross process and host boundaries as plain data
+(:func:`to_wire` / :func:`from_wire`); there is no pickle form, on
+either side.
 """
 
 from __future__ import annotations
@@ -78,9 +82,8 @@ class WireDecodeError(ValueError):
     """A wire payload value failed safe decoding.
 
     Raised for ``__wire__ == "dict"`` payloads naming a type outside the
-    :func:`register_wire_type` allowlist, and for pickled payloads when
-    the transport decodes with ``allow_pickle=False`` (the TCP cluster
-    channels — unpickling bytes from a socket executes arbitrary code).
+    :func:`register_wire_type` allowlist, and for any other ``__wire__``
+    tag (there is no pickle form: wire bytes may come off a socket).
     Every rejection is counted in ``wire_stats()["rejected_payloads"]``.
     """
 
@@ -252,12 +255,12 @@ class StreamTuple:
 # Wire serialization: explicit cross-process round-tripping
 # ---------------------------------------------------------------------------
 #
-# Tuples that cross a process boundary must not rely on implicit pickling
-# of operator-attached payloads: schemas are interned singletons (pickling
-# one per tuple breaks identity checks and wastes bytes), Eigensystem
-# payloads carry numpy state with a documented dict form, and anything
-# falling back to raw pickle should be *visible* so tests can assert the
-# hot path never takes it.  ``to_wire``/``from_wire`` make every schema —
+# Tuples that cross a process boundary are plain data: schemas are
+# interned singletons that travel by name (pickling one per tuple breaks
+# identity checks and wastes bytes), Eigensystem payloads use their
+# documented dict form, and a payload value with no wire form fails at
+# the sender.  There is no pickle form, so the same dicts are safe to
+# frame onto a socket.  ``to_wire``/``from_wire`` make every schema —
 # BLOCK_SCHEMA, OBSERVATION_SCHEMA, control and punctuation tuples —
 # round-trip explicitly.
 
@@ -265,16 +268,12 @@ _SCHEMA_REGISTRY: dict[str, StreamSchema] = {}
 _SCHEMA_NAMES: dict[int, str] = {}
 
 #: Wire-level accounting, exposed so transports and tests can verify the
-#: hot path: ``pickled_payloads`` counts payload values that fell back to
-#: opaque pickling (must stay 0 for block traffic);
-#: ``unknown_schema`` counts messages rejected for naming a schema the
-#: receiver has not registered; ``schemas_registered`` counts schemas
-#: lazily interned from wire-carried descriptors; ``rejected_payloads``
-#: counts payload values refused by the decode allowlist / no-pickle
-#: policy.
+#: hot path: ``unknown_schema`` counts messages rejected for naming a
+#: schema the receiver has not registered; ``schemas_registered`` counts
+#: schemas lazily interned from wire-carried descriptors;
+#: ``rejected_payloads`` counts payload values refused by the decoder.
 _WIRE_STATS = {
     "tuples": 0,
-    "pickled_payloads": 0,
     "unknown_schema": 0,
     "schemas_registered": 0,
     "rejected_payloads": 0,
@@ -359,8 +358,8 @@ def reset_wire_stats() -> None:
 
 
 def _encode_value(value: Any) -> Any:
-    # numpy arrays and plain scalars ship as-is: multiprocessing's
-    # transport pickles them efficiently (arrays via buffer protocol).
+    # numpy arrays and plain scalars ship as-is: the process runtime's
+    # queues and the cluster's wire frames both carry arrays as buffers.
     if value is None or isinstance(
         value, (bool, int, float, str, bytes, np.ndarray, np.generic)
     ):
@@ -374,41 +373,30 @@ def _encode_value(value: Any) -> Any:
             "qualname": cls.__qualname__,
             "data": to_dict(),
         }
-    import pickle
+    raise TypeError(
+        f"payload value of type {type(value).__name__!r} has no wire form: "
+        f"send arrays, scalars, strings, bytes or a to_dict/from_dict type"
+    )
 
-    _WIRE_STATS["pickled_payloads"] += 1
-    return {"__wire__": "pickle", "data": pickle.dumps(value)}
 
-
-def _decode_value(value: Any, *, allow_pickle: bool = True) -> Any:
-    if isinstance(value, dict) and "__wire__" in value:
-        if value["__wire__"] == "dict":
-            # Never import from the message: the (module, qualname) pair
-            # is untrusted input over TCP.  Only classes registered via
-            # register_wire_type decode; everything else is a counted
-            # rejection.
-            _seed_wire_types()
-            cls = _WIRE_TYPES.get((value["module"], value["qualname"]))
-            if cls is None:
-                _WIRE_STATS["rejected_payloads"] += 1
-                raise WireDecodeError(
-                    f"wire payload names unregistered type "
-                    f"{value['module']}.{value['qualname']}; the receiver "
-                    f"must register_wire_type() it explicitly"
-                )
-            return cls.from_dict(value["data"])
-        if value["__wire__"] == "pickle":
-            if not allow_pickle:
-                _WIRE_STATS["rejected_payloads"] += 1
-                raise WireDecodeError(
-                    "pickled wire payload refused: this transport decodes "
-                    "with allow_pickle=False (unpickling socket bytes "
-                    "executes arbitrary code)"
-                )
-            import pickle
-
-            return pickle.loads(value["data"])
-    return value
+def _decode_value(value: Any) -> Any:
+    if not (isinstance(value, dict) and "__wire__" in value):
+        return value
+    # Never import from the message: the (module, qualname) pair is
+    # untrusted input over TCP.  Only the "dict" form of classes
+    # registered via register_wire_type decodes; anything else (a
+    # "pickle" tag included) is a counted rejection.
+    _seed_wire_types()
+    tag, name = value["__wire__"], (value.get("module"), value.get("qualname"))
+    cls = _WIRE_TYPES.get(name) if tag == "dict" else None
+    if cls is None:
+        _WIRE_STATS["rejected_payloads"] += 1
+        raise WireDecodeError(
+            f"wire payload {tag!r} names unregistered type "
+            f"{name[0]}.{name[1]}; only the 'dict' form of a "
+            f"register_wire_type() class decodes"
+        )
+    return cls.from_dict(value["data"])
 
 
 def _schema_descriptor(schema: StreamSchema) -> dict[str, str]:
@@ -426,10 +414,11 @@ def to_wire(
 
     The schema travels by registered *name* (interned on arrival), the
     ``seq`` id is preserved exactly, and payload values are encoded via
-    :func:`_encode_value` — arrays/scalars pass through, ``to_dict``
-    -capable objects (e.g. :class:`~repro.core.eigensystem.Eigensystem`)
-    use their documented dict form, and anything else falls back to a
-    counted pickle.
+    :func:`_encode_value` — arrays/scalars/strings/bytes pass through,
+    ``to_dict``-capable objects (e.g.
+    :class:`~repro.core.eigensystem.Eigensystem`) use their documented
+    dict form, and anything else raises ``TypeError`` here, at the
+    sender, on every runtime.
 
     ``describe_schema=True`` additionally ships the schema's field
     descriptor so a receiver whose registry does not know the name (a
@@ -452,9 +441,7 @@ def to_wire(
     return msg
 
 
-def from_wire(
-    msg: Mapping[str, Any], *, allow_pickle: bool = True
-) -> StreamTuple:
+def from_wire(msg: Mapping[str, Any]) -> StreamTuple:
     """Rebuild the :class:`StreamTuple` encoded by :func:`to_wire`.
 
     Payloads were validated at origin, so reconstruction skips
@@ -465,15 +452,12 @@ def from_wire(
     :class:`UnknownSchemaError` (counted in
     ``wire_stats()["unknown_schema"]``) unless it carries a
     ``schema_fields`` descriptor, in which case the schema is built and
-    registered on the spot (counted in ``schemas_registered``).
-    ``allow_pickle=False`` refuses pickle-fallback payload values with
-    :class:`WireDecodeError` — required for sockets, where pickled
-    bytes are untrusted.
+    registered on the spot (counted in ``schemas_registered``).  A
+    tagged payload value that is not an allowlisted ``"dict"`` form
+    raises :class:`WireDecodeError` (counted in ``rejected_payloads``):
+    the same bytes arrive from sockets, so nothing here ever unpickles.
     """
-    payload = {
-        k: _decode_value(v, allow_pickle=allow_pickle)
-        for k, v in msg["payload"].items()
-    }
+    payload = {k: _decode_value(v) for k, v in msg["payload"].items()}
     tup = StreamTuple(payload=payload, kind=TupleKind(msg["kind"]))
     name = msg.get("schema")
     if name is not None:

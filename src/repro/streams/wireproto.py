@@ -1,10 +1,10 @@
 """Length-prefixed framed wire protocol for the cluster runtime.
 
 The multi-process engine ships :func:`~repro.streams.tuples.to_wire`
-dicts over ``multiprocessing`` queues, which pickle them implicitly.  A
-TCP transport cannot do that safely — unpickling socket bytes executes
-arbitrary code — so the cluster runtime frames the *same* wire dicts
-explicitly:
+dicts over ``multiprocessing`` queues between processes of one run.  A
+TCP transport cannot let ``multiprocessing`` pickle them — unpickling
+socket bytes executes arbitrary code — so the cluster runtime frames the
+*same* data-only wire dicts explicitly:
 
 ``MAGIC | body_len:u64 | header_len:u32 | n_blobs:u32 |
 blob_len:u64 × n_blobs | header_json | blob₀ | blob₁ | …``
@@ -19,9 +19,11 @@ with the in-process runtimes.
 Everything arriving over a socket is untrusted until decoded:
 :func:`decode_frame` rejects bad magic, oversized frames, and
 unframeable structure with :class:`FrameError`; payload *values* are
-then further vetted by ``from_wire(..., allow_pickle=False)`` and the
-``register_wire_type`` allowlist (see :mod:`repro.streams.tuples` and
-``docs/robustness.md``).
+then further vetted by ``from_wire`` and the ``register_wire_type``
+allowlist (see :mod:`repro.streams.tuples` and ``docs/robustness.md``).
+No frame carries a pickle: tuples, control messages and the final
+operator state of a ``done`` frame are all scalars, strings, lists,
+str-keyed dicts and array/bytes blobs.
 
 :class:`ReconnectingChannel` is the host-side client: a framed socket
 that transparently redials the coordinator with the same exponential

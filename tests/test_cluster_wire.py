@@ -2,9 +2,8 @@
 
 Round-trips run over *real* ``socket.socketpair`` links — the framed
 protocol's contract is with kernel byte streams, not in-memory buffers —
-and the regression tests pin the three wire-layer bugfixes this layer
-exposed: unknown-schema handling, the decode allowlist, and the
-pickle-fallback accounting.
+and the regression tests pin the wire-layer contract: unknown-schema
+handling, the decode allowlist, and the absence of any pickle form.
 """
 
 import socket
@@ -207,7 +206,7 @@ class TestSocketFraming:
             vec = np.linspace(-1.0, 1.0, 17)
             tup = StreamTuple.data(OBSERVATION_SCHEMA, x=vec, seq=7)
             send_frame(a, to_wire(tup, describe_schema=True))
-            back = from_wire(recv_frame(b), allow_pickle=False)
+            back = from_wire(recv_frame(b))
             np.testing.assert_array_equal(back["x"], vec)
             assert back["seq"] == 7
             assert back.seq == tup.seq
@@ -224,8 +223,8 @@ class TestSocketFraming:
             send_frame(
                 a, to_wire(StreamTuple.control(type="grant", round=3))
             )
-            punct = from_wire(recv_frame(b), allow_pickle=False)
-            ctl = from_wire(recv_frame(b), allow_pickle=False)
+            punct = from_wire(recv_frame(b))
+            ctl = from_wire(recv_frame(b))
             assert punct.is_punctuation
             assert ctl.is_control and ctl["round"] == 3
         finally:
@@ -245,11 +244,9 @@ class TestSocketFraming:
                 eigenvalues=np.array([4.0, 1.0]),
                 sum_weight=12.0,
             )
-            before = wire_stats()["pickled_payloads"]
             tup = StreamTuple.control(type="share", state=es, engine=1)
             send_frame(a, to_wire(tup))
-            back = from_wire(recv_frame(b), allow_pickle=False)
-            assert wire_stats()["pickled_payloads"] == before
+            back = from_wire(recv_frame(b))
             np.testing.assert_allclose(
                 back["state"].eigenvalues, es.eigenvalues
             )
@@ -513,17 +510,14 @@ class TestWireTrustBoundary:
         assert wire_stats()["rejected_payloads"] == before + 1
 
     def test_pickle_refused_without_allow_pickle(self):
-        before_pickled = wire_stats()["pickled_payloads"]
-        msg = to_wire(StreamTuple.control(blob={1, 2, 3}))
-        # The fallback itself is visible accounting...
-        assert wire_stats()["pickled_payloads"] == before_pickled + 1
-        # ...and a socket-side receiver refuses it outright.
+        # There is no switch that lets a pickle through: a receiver
+        # rejects a hand-built pickle tag, and counts it.
+        msg = to_wire(StreamTuple.control(blob=b""))
+        msg["payload"]["blob"] = {"__wire__": "pickle", "data": b"\x80"}
         before = wire_stats()["rejected_payloads"]
-        with pytest.raises(WireDecodeError, match="allow_pickle=False"):
-            from_wire(msg, allow_pickle=False)
+        with pytest.raises(WireDecodeError, match="'pickle'"):
+            from_wire(msg)
         assert wire_stats()["rejected_payloads"] == before + 1
-        # A trusted same-image transport may still opt in.
-        assert from_wire(msg, allow_pickle=True)["blob"] == {1, 2, 3}
 
     def test_eigensystem_is_allowlisted_by_default(self):
         es = Eigensystem(
@@ -531,7 +525,5 @@ class TestWireTrustBoundary:
             basis=np.eye(3)[:, :1],
             eigenvalues=np.array([1.0]),
         )
-        back = from_wire(
-            to_wire(StreamTuple.control(state=es)), allow_pickle=False
-        )
+        back = from_wire(to_wire(StreamTuple.control(state=es)))
         assert isinstance(back["state"], Eigensystem)

@@ -8,17 +8,22 @@ the wire layer.
 import socket
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
 
+from repro.core.robust import RobustIncrementalPCA
 from repro.data.streams import VectorStream
+from repro.parallel.app import build_parallel_pca_graph
 from repro.parallel.runner import ParallelStreamingPCA
 from repro.streams import (
     ChaosScenario,
     ClusterEngine,
     FaultSpec,
     OperatorFailure,
+    ProcessEngine,
+    SynchronousEngine,
     Telemetry,
     TelemetryConfig,
     cluster_flap_scenario,
@@ -273,79 +278,119 @@ class TestHostThreadFailure:
         assert "death detection" in capsys.readouterr().out
 
 
-class TestPickleGate:
-    def test_is_loopback_bind(self):
-        from repro.streams.clusterengine import _is_loopback_bind
+def _foldback_app(X):
+    """A 3-engine PCA app whose engine 2 never leaves warm-up."""
 
-        assert _is_loopback_bind("127.0.0.1")
-        assert _is_loopback_bind("127.1.2.3")
-        assert _is_loopback_bind("::1")
-        assert _is_loopback_bind("localhost")
-        assert not _is_loopback_bind("0.0.0.0")
-        assert not _is_loopback_bind("::")
-        assert not _is_loopback_bind("")
-        assert not _is_loopback_bind("10.0.0.5")
-        assert not _is_loopback_bind("example.com")
+    def estimator(engine_id):
+        init_size = len(X) if engine_id == 2 else 40
+        return RobustIncrementalPCA(3, alpha=1.0, init_size=init_size)
 
-    def test_non_loopback_bind_refuses_pickled_done_payloads(self):
-        # Regression: "done" frames were decoded with allow_pickle=True
-        # gated only by the cleartext run_id — on a non-loopback bind an
-        # on-path observer could replay it and deliver a pickle
-        # (arbitrary code execution on the coordinator).
-        import pickle
+    return build_parallel_pca_graph(
+        VectorStream.from_array(X), 3, estimator,
+        split_seed=7, sync_gate_factor=1e9, batch_size=8,
+    )
 
-        from repro.streams.tuples import WireDecodeError
 
-        X = _spectra(n=60)
-        app = _pca_runner("cluster").build(VectorStream.from_array(X))
-        with pytest.warns(RuntimeWarning, match="non-loopback"):
-            engine = ClusterEngine(
-                app.graph, main_ops=_main_ops(app), n_hosts=3,
-                bind_host="0.0.0.0",
+def _run_foldback(runtime, X, **kw):
+    app = _foldback_app(X)
+    if runtime == "synchronous":
+        stats = SynchronousEngine(app.graph).run()
+    elif runtime == "process":
+        stats = ProcessEngine(
+            app.graph, main_ops=_main_ops(app), mp_context="fork"
+        ).run(timeout_s=120)
+    else:
+        stats = ClusterEngine(
+            app.graph, main_ops=_main_ops(app), n_hosts=3, **kw
+        ).run(timeout_s=120)
+    return app, stats
+
+
+def _assert_same_engines(got, ref):
+    for op, ref_op in zip(got.engines, ref.engines):
+        assert op.diagnostics() == ref_op.diagnostics()
+        est, ref_est = op.estimator, ref_op.estimator
+        assert est.is_initialized == ref_est.is_initialized
+        assert est.n_skipped == ref_est.n_skipped
+        if not ref_est.is_initialized:
+            continue
+        state, ref_state = est.state, ref_est.state
+        for name in ("scale", "sum_count", "sum_weight", "sum_weighted_r2"):
+            assert getattr(state, name) == pytest.approx(
+                getattr(ref_state, name), rel=1e-8
             )
-        assert engine._pickle_ok is False
-        op_name = engine._host_ops[0][0].name
-        engine._links[0].done = {
-            "ops": {
-                op_name: {
-                    "attr": {
-                        "__wire__": "pickle",
-                        "data": pickle.dumps({1, 2}),
-                    }
-                }
-            },
-            "metrics": [],
-            "counters": {"received": 0, "sent": 0},
-            "transport": {},
-        }
-        with pytest.raises(WireDecodeError, match="allow_pickle=False"):
-            engine._apply_done(0)
+        assert state.n_seen == ref_state.n_seen
+        assert state.n_since_sync == ref_state.n_since_sync
+        np.testing.assert_allclose(
+            state.eigenvalues, ref_state.eigenvalues, rtol=1e-8
+        )
+        np.testing.assert_allclose(
+            state.mean, ref_state.mean, rtol=0, atol=1e-8
+        )
+        np.testing.assert_allclose(
+            state.basis, ref_state.basis, rtol=0, atol=1e-8
+        )
 
-    def test_loopback_bind_still_trusts_done_payloads(self):
-        import pickle
 
+class TestFoldBack:
+    """Remote operator state comes home as data, the same on every
+    runtime: ``final_state``/``apply_final_state``."""
+
+    def test_final_state_matches_across_runtimes(self):
+        X = _spectra(n=600)
+        rng = np.random.default_rng(3)
+        X[::20] += 30.0 * rng.normal(size=X[::20].shape)  # outliers
+        ref_app, ref_stats = _run_foldback("synchronous", X)
+        reports = [op.diagnostics() for op in ref_app.engines]
+        # The data exercise what must fold back: outliers, and one
+        # engine that ends the run still buffering its warm-up.
+        assert sum(r["n_outliers"] for r in reports) > 0
+        assert not ref_app.engines[2].estimator.is_initialized
+        assert reports[2]["n_seen"] > 0
+        names = [op.name for op in ref_app.engines]
+        for runtime in ("process", "cluster"):
+            app, stats = _run_foldback(runtime, X)
+            _assert_same_engines(app, ref_app)
+            for name in names:
+                assert stats.tuples_in[name] == ref_stats.tuples_in[name]
+                assert stats.tuples_out[name] == ref_stats.tuples_out[name]
+
+    def test_any_bind_folds_back_without_warning(self):
+        # Regression: bound to every interface, the coordinator used to
+        # refuse the pickled estimator in each host's done frame, so a
+        # PCA run failed at fold-back after all its work was done.
+        X = _spectra(n=300)
+        ref_app, _ = _run_foldback("synchronous", X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            app, _ = _run_foldback("cluster", X, bind_host="0.0.0.0")
+        _assert_same_engines(app, ref_app)
+
+    def test_done_frame_sets_only_existing_scalars(self):
         X = _spectra(n=60)
         app = _pca_runner("cluster").build(VectorStream.from_array(X))
-        engine = ClusterEngine(
-            app.graph, main_ops=_main_ops(app), n_hosts=3
-        )
-        assert engine._pickle_ok is True
+        engine = ClusterEngine(app.graph, main_ops=_main_ops(app), n_hosts=3)
         op = engine._host_ops[0][0]
         engine._links[0].done = {
             "ops": {
                 op.name: {
-                    "extra_attr": {
-                        "__wire__": "pickle",
-                        "data": pickle.dumps({1, 2}),
-                    }
-                }
+                    "counters": {
+                        "tuples_in": 7,
+                        "extra_attr": 1,  # not an attribute of op
+                        "name": 5,  # not a scalar attribute
+                        "tuples_out": {"__wire__": "pickle", "data": b""},
+                    },
+                },
             },
             "metrics": [],
             "counters": {"received": 0, "sent": 0},
             "transport": {},
         }
         engine._apply_done(0)
-        assert op.extra_attr == {1, 2}
+        assert op.tuples_in == 7
+        assert op.tuples_out == 0
+        assert isinstance(op.name, str)
+        assert not hasattr(op, "extra_attr")
 
 
 class TestClusterCLI:

@@ -27,10 +27,9 @@ from repro.streams import (
     VectorSource,
     from_wire,
     to_wire,
-    wire_stats,
 )
 from repro.streams.batcher import BLOCK_SCHEMA
-from repro.streams.tuples import reset_wire_stats, tuple_from_fields
+from repro.streams.tuples import tuple_from_fields
 
 # ---------------------------------------------------------------------------
 # Wire round-trips
@@ -76,20 +75,18 @@ class TestWireRoundTrip:
             n_seen=10,
         )
         tup = StreamTuple.control(type="state", engine=0, state=state)
-        reset_wire_stats()
-        back = from_wire(to_wire(tup))
-        assert wire_stats()["pickled_payloads"] == 0
-        got = back.payload["state"]
+        msg = to_wire(tup)
+        assert msg["payload"]["state"]["__wire__"] == "dict"
+        got = from_wire(msg).payload["state"]
         assert isinstance(got, Eigensystem)
         np.testing.assert_allclose(got.basis, state.basis)
         np.testing.assert_allclose(got.eigenvalues, state.eigenvalues)
 
-    def test_opaque_payload_falls_back_to_counted_pickle(self):
-        tup = StreamTuple.data(weird={"a", "b"})
-        reset_wire_stats()
-        back = from_wire(to_wire(tup))
-        assert wire_stats()["pickled_payloads"] == 1
-        assert back.payload["weird"] == {"a", "b"}
+    def test_opaque_payload_raises_at_to_wire(self):
+        # No pickle fallback: the sender refuses a payload with no wire
+        # form before anything crosses a process boundary.
+        with pytest.raises(TypeError, match="no wire form"):
+            to_wire(StreamTuple.data(weird={"a", "b"}))
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +245,15 @@ class TestProcessParity:
         runner = _pca_runner("process")
         app = runner.build(VectorStream.from_array(X))
         main_ops = {app.split.name, app.controller.name, app.batcher.name}
-        reset_wire_stats()
         engine = ProcessEngine(
             app.graph, main_ops=main_ops, mp_context="fork"
         )
         engine.run(timeout_s=120)
         stats = engine.transport_stats
         assert stats["blocks_ring"] > 0
-        # The hot path never pickles a block payload:
+        # Every block crossed on a shared-memory ring:
         assert stats["blocks_queue"] == 0
         assert stats["blocks_ring_in"] == stats["blocks_ring"]
-        assert wire_stats()["pickled_payloads"] == 0
         rows = sum(r["n_local_rows"] for r in [
             op.diagnostics() for op in app.engines
         ])
@@ -520,6 +515,72 @@ class TestCmdQueueUnpoison:
         eng = ProcessEngine.__new__(ProcessEngine)
         eng._cmd_qs = {}
         eng._unpoison_cmd_queue(7)
+
+
+class TestDeadWorkerChannels:
+    """A SIGKILLed worker may die mid-frame on either of its queues;
+    neither torn stream may reach the coordinator or the respawn."""
+
+    def test_torn_frame_from_dead_writer_is_dropped_not_awaited(self):
+        import struct
+
+        ctx = mp.get_context("fork")
+        q = ctx.Queue()
+        # The writer dies after a frame header promising 1000 bytes and
+        # only 10 of them.
+        proc = ctx.Process(
+            target=lambda: os.write(
+                q._writer.fileno(), struct.pack("!i", 1000) + b"x" * 10
+            )
+        )
+        proc.start()
+        q._writer.close()  # as _start_worker does after start
+        proc.join(timeout=10)
+        eng = ProcessEngine.__new__(ProcessEngine)
+        eng._up_qs = [q]
+        eng._up_lock = threading.Lock()
+        eng._retired_qs = []
+        assert eng._recv_up(1.0) is False  # EOF mid-frame, no hang
+        assert eng._up_qs == [] and eng._retired_qs == [q]
+
+    def test_death_mid_read_gets_a_fresh_command_queue(self):
+        ctx = mp.get_context("forkserver")
+        old = ctx.Queue(maxsize=4)
+        assert old._rlock.acquire(block=False)  # the victim's hold
+        eng = ProcessEngine.__new__(ProcessEngine)
+        eng._ctx = ctx
+        eng.queue_size = 4
+        eng._cmd_qs = {0: old}
+        eng._specs = {0: type("Spec", (), {"cmd_q": old})()}
+        eng._sender = type("Sender", (), {"queues": {0: old}})()
+        eng._retired_qs = []
+        assert eng._unpoison_cmd_queue(0) is True
+        assert eng._unpoison_cmd_queue(0) is False  # now free
+        eng._replace_cmd_queue(0)
+        fresh = eng._cmd_qs[0]
+        assert fresh is not old
+        assert eng._specs[0].cmd_q is fresh
+        assert eng._sender.queues[0] is fresh
+        assert eng._retired_qs == [old]
+        for q in (old, fresh):
+            q.close()
+            q.join_thread()
+
+    def test_peer_fed_workers_keep_their_queue(self):
+        # w0 -> w1 is a worker-to-worker edge: w1's queue has a writer
+        # outside the coordinator and cannot be swapped.
+        g = Graph("peer")
+        src = g.add(
+            VectorSource("src", VectorStream.from_array(np.zeros((4, 2))))
+        )
+        a = g.add(Functor("a", lambda t: t))
+        b = g.add(Functor("b", lambda t: t))
+        sink = g.add(CollectingSink("sink"))
+        g.connect(src, a)
+        g.connect(a, b)
+        g.connect(b, sink)
+        eng = ProcessEngine(g, mp_context="fork")
+        assert eng._peer_fed == {eng._loc_of["b"]}
 
 
 class TestStallRecovery:

@@ -372,29 +372,62 @@ class TestEnginePool:
             pool.work_event.set()
             assert pool.drain(10.0)
 
-            victim_id = pool.live_lane_ids()[0]
+            victim_id = pool.lane_of("a")
             victims = {t.name for t in pool.tenants_for(victim_id)}
             with pool._lock:
                 pool._lanes[victim_id].kill()
             pool.work_event.set()
-            assert _wait(lambda: victim_id not in pool.live_lane_ids())
-            assert pool.stats.n_evictions >= 1
-            assert "lane_dead" in events
-            # Tenants stranded on the dead lane are flagged for reseed.
-            assert any(tenants[n].needs_reseed for n in victims) or not victims
+            # The pool replaces the dead lane by itself.
+            assert _wait(
+                lambda: victim_id not in pool.live_lane_ids()
+                and len(pool.live_lane_ids()) == pool.desired_lanes
+            )
+            assert pool.stats.n_evictions == 1
+            assert pool.stats.n_rejoins == 1
+            assert events.count("lane_dead") == 1
+            assert events.count("lane_respawned") == 1
 
-            n = pool.respawn_dead()
-            assert n == 1
-            assert pool.stats.n_rejoins >= 1
-            assert len(pool.live_lane_ids()) == pool.desired_lanes
-
-            # The pool keeps serving after the rejoin.
+            # The pool keeps serving after the rejoin, and the tenants
+            # stranded on the dead lane are reseeded before they apply.
             for t in tenants.values():
                 t.queue.push(_rows(32, seed=7))
             pool.work_event.set()
             assert pool.drain(10.0)
+            assert _wait(
+                lambda: events.count("tenant_reseeded") == len(victims)
+            )
+            assert all(tenants[n].model.n_reseeds == 1 for n in victims)
         finally:
             pool.stop()
+
+    def test_block_failing_every_apply_respawns_at_a_bounded_rate(
+        self, monkeypatch
+    ):
+        t = TenantState(_spec("a"))
+        events = []
+        cache, pool = self._pool(
+            {"a": t}, n_lanes=1,
+            on_event=lambda kind, **p: events.append(kind),
+        )
+
+        def poisoned(xs, wal_seq=-1):
+            raise RuntimeError("poisoned block")
+
+        monkeypatch.setattr(t.model, "apply_block", poisoned)
+        t.queue.push(_rows(16))
+        pool.start()
+        try:
+            pool.work_event.set()
+            time.sleep(1.0)
+            # Each replacement lane dies on the requeued block, but at
+            # most one respawn happens per 0.25 s: no busy loop.
+            assert 2 <= pool.stats.n_rejoins <= 5
+            assert events.count("lane_dead") == pool.stats.n_evictions
+            # The block is never lost while lanes keep dying on it.
+            assert t.queue.depth_rows == 16
+        finally:
+            pool.stop()
+        assert pool.live_lane_ids() == []
 
     def test_scale_to_and_membership_quorum(self):
         t = TenantState(_spec("a"))
@@ -514,6 +547,37 @@ class TestPCAService:
             assert code == 202
             assert _wait(lambda: svc.ready()[0] == 200)
 
+            victim = svc.pool.lane_of("a")
+            with svc.pool._lock:
+                svc.pool._lanes[victim].kill()
+            svc.pool.work_event.set()
+            # The pool evicts the dead lane, spawns its replacement by
+            # itself, and the new owner reseeds the tenant.
+            assert _wait(lambda: svc.pool.stats.n_rejoins == 1)
+            assert svc.pool.stats.n_evictions == 1
+            assert victim not in svc.pool.live_lane_ids()
+            assert _wait(lambda: svc.tenant("a").model.n_reseeds == 1)
+            assert _wait(lambda: svc.ready()[0] == 200)
+            kinds = {e["kind"] for e in svc.telemetry.events.events()}
+            assert {
+                "serving_lane_dead", "serving_lane_respawned",
+                "serving_tenant_reseeded",
+            } <= kinds
+            # ingest still works end to end after the rejoin
+            code, _ = svc.ingest("a", _rows(32).tolist())
+            assert code == 202
+            assert svc.pool.drain(10.0)
+        finally:
+            svc.stop()
+
+    def test_ready_is_critical_while_lanes_stay_below_quorum(
+        self, monkeypatch
+    ):
+        svc = _service(_spec("a"), n_lanes=2)
+        monkeypatch.setattr(svc.pool, "respawn_dead", lambda: 0)
+        svc.start()
+        try:
+            assert _wait(lambda: svc.ready()[0] == 200)
             victim = svc.pool.live_lane_ids()[0]
             with svc.pool._lock:
                 svc.pool._lanes[victim].kill()
@@ -521,13 +585,33 @@ class TestPCAService:
             assert _wait(lambda: svc.ready()[0] == 503)
             code, body = svc.ready()
             assert body["health_status"] == "CRITICAL"
+            assert body["live_lanes"] == 1
+        finally:
+            svc.stop()
 
-            svc.pool.respawn_dead()
+    def test_block_of_another_width_is_refused_before_admission(
+        self, tmp_path
+    ):
+        svc = _service(_spec("a"), data_dir=str(tmp_path))
+        svc.start()
+        try:
             assert _wait(lambda: svc.ready()[0] == 200)
-            # ingest still works end to end after the rejoin
-            code, _ = svc.ingest("a", _rows(32).tolist())
+            code, ack = svc.ingest("a", _rows(64, dim=8).tolist())
             assert code == 202
+            wal = svc.durability.wal_for("a")
+            next_seq = wal.next_seq
+            accepted = svc.tenant("a").rows_accepted
+            code, body = svc.ingest("a", _rows(64, dim=5).tolist())
+            assert code == 422
+            assert "width 5" in body["error"]
+            assert svc.tenant("a").rows_accepted == accepted
+            assert wal.next_seq == next_seq  # no WAL record written
             assert svc.pool.drain(10.0)
+            time.sleep(0.2)
+            kinds = {e["kind"] for e in svc.telemetry.events.events()}
+            assert "serving_lane_dead" not in kinds
+            assert svc.tenant("a").model.rows_applied == 64
+            assert svc.ready()[0] == 200
         finally:
             svc.stop()
 
@@ -678,7 +762,6 @@ class TestServingEndToEnd:
     DIM = 8
 
     def test_concurrent_clients_two_tenants_chaos(self):
-        rng = np.random.default_rng(SEED)
         svc = _service(
             _spec("bulk", max_block_rows=128),
             _spec("throttled", max_rate_hz=600.0, burst_s=0.5),
@@ -748,14 +831,15 @@ class TestServingEndToEnd:
 
             # chaos: kill one lane mid-traffic, watch /ready flip, recover
             with ServingClient(srv.host, srv.port) as probe:
-                victim = svc.pool.live_lane_ids()[
-                    int(rng.integers(0, 2))
-                ]
+                victim = svc.pool.lane_of("bulk")
                 with svc.pool._lock:
                     svc.pool._lanes[victim].kill()
                 svc.pool.work_event.set()
-                assert _wait(lambda: probe.ready().code == 503, 10.0)
-                svc.pool.respawn_dead()
+                # evict, reseed and rejoin, with no outside help
+                assert _wait(lambda: svc.pool.stats.n_rejoins >= 1, 10.0)
+                assert _wait(
+                    lambda: svc.tenant("bulk").model.n_reseeds >= 1, 10.0
+                )
                 assert _wait(lambda: probe.ready().code == 200, 10.0)
 
             time.sleep(1.0)
